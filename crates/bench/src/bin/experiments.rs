@@ -1,6 +1,6 @@
 //! Command-line harness that regenerates the evaluation figures of the
-//! thesis (Chapter 6). See EXPERIMENTS.md for the mapping and for recorded
-//! results.
+//! thesis (Chapter 6). The `ssi_bench` crate docs and `all_experiments`
+//! give the mapping from figures to workloads and engine configurations.
 //!
 //! ```bash
 //! # list experiments

@@ -1,5 +1,5 @@
 //! The embedded database: catalog + lock manager + transaction manager +
-//! write-ahead log, wired together by [`Options`].
+//! optional durable redo log, wired together by [`Options`].
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,7 +13,7 @@ use ssi_obs::{
     EngineMetrics, EventKind, GcMetrics, HistSummary, LatencyMetrics, LockMetrics, MetricsSnapshot,
     TableMetrics, Trace, TraceBatch, TraceHandle, TxnMetrics, WalMetrics,
 };
-use ssi_storage::{Catalog, Index, IndexKeySpec, PageMap, PurgeStats, Table, WriteAheadLog};
+use ssi_storage::{Catalog, Index, IndexKeySpec, PageMap, PurgeStats, Table};
 use ssi_wal::{
     CheckpointStats, Checkpointer, PoisonCause, Recovered, StdVfs, SyncPolicy, Vfs, WalStats,
     WalWriter,
@@ -143,7 +143,6 @@ pub(crate) struct DbInner {
     pub(crate) locks: LockManager,
     /// Shared with the background GC thread (maintenance hub).
     pub(crate) txns: Arc<TransactionManager>,
-    pub(crate) wal: WriteAheadLog,
     pub(crate) pages: Option<PageMap>,
     pub(crate) history: Option<HistoryRecorder>,
     pub(crate) durable: Option<DurableState>,
@@ -521,7 +520,6 @@ impl Database {
         );
         let inner = DbInner {
             locks: LockManager::new(options.lock.clone()),
-            wal: WriteAheadLog::new(options.wal.clone()),
             txns,
             catalog,
             pages,
@@ -553,7 +551,7 @@ impl Database {
     }
 
     /// Opens a database with default options (Serializable SI, row-level
-    /// locking, no commit flush).
+    /// locking, durability off).
     pub fn open_default() -> Self {
         Self::open(Options::default())
     }
@@ -747,11 +745,6 @@ impl Database {
     /// The transaction manager (exposed for statistics and tests).
     pub fn transaction_manager(&self) -> &TransactionManager {
         &self.inner.txns
-    }
-
-    /// The write-ahead log (exposed for statistics and tests).
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.inner.wal
     }
 
     /// Takes a checkpoint now: snapshots every table at the published

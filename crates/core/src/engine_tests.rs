@@ -3,9 +3,13 @@
 //! open transactions). Multi-threaded and property-based tests live in the
 //! workspace-level `tests/` directory.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
 use ssi_common::{AbortKind, Error, IsolationLevel};
 
-use crate::{Database, Options, SsiVariant};
+use crate::{Database, Durability, MemVfs, Options, SsiVariant};
 
 fn db_with(level: IsolationLevel) -> Database {
     Database::open(Options::default().with_isolation(level))
@@ -727,9 +731,24 @@ fn recorded_history_under_si_shows_write_skew_cycle() {
 // WAL integration
 // ---------------------------------------------------------------------------
 
+/// Opens a `GroupCommit` database whose log lives on `vfs`; `dir` on the
+/// real filesystem only holds the log's `wal.lock`.
+fn mem_durable_db(vfs: &Arc<MemVfs>, dir: &Path) -> Database {
+    std::fs::create_dir_all(dir).unwrap();
+    let options = Options::default()
+        .with_durability(Durability::GroupCommit, dir)
+        .with_vfs(vfs.clone());
+    Database::try_open(options).unwrap()
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ssi-core-{tag}-{}", std::process::id()))
+}
+
 #[test]
 fn commit_appends_wal_records_only_for_updates() {
-    let db = ssi_db();
+    let dir = scratch_dir("only-updates");
+    let db = mem_durable_db(&Arc::new(MemVfs::default()), &dir);
     let t = db.create_table("t").unwrap();
     let mut w = db.begin();
     w.put(&t, b"k", b"v").unwrap();
@@ -737,5 +756,36 @@ fn commit_appends_wal_records_only_for_updates() {
     let mut r = db.begin();
     r.get(&t, b"k").unwrap();
     r.commit().unwrap();
-    assert_eq!(db.wal().record_count(), 1);
+    let records = &db.durability_stats().unwrap().records;
+    assert_eq!(records.load(Ordering::Relaxed), 1);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mem_vfs_reopen_recovers_committed_rows() {
+    let dir = scratch_dir("mem-reopen");
+    let vfs = Arc::new(MemVfs::default());
+    let db = mem_durable_db(&vfs, &dir);
+    let t = db.create_table("t").unwrap();
+    for i in 0..10u8 {
+        let mut w = db.begin();
+        w.put(&t, &[i], &[i * 2]).unwrap();
+        w.commit().unwrap();
+    }
+    let mut d = db.begin();
+    d.delete(&t, &[3]).unwrap();
+    d.commit().unwrap();
+    drop(db);
+
+    let db = mem_durable_db(&vfs, &dir);
+    let t = db.table("t").unwrap();
+    let mut r = db.begin();
+    for i in 0..10u8 {
+        let expected = (i != 3).then(|| vec![i * 2]);
+        assert_eq!(r.get(&t, &[i]).unwrap().map(|v| v.to_vec()), expected);
+    }
+    r.commit().unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@
 //! The crate exposes an embedded, in-memory multi-version database:
 //!
 //! * [`Database`] owns the catalog, lock manager, transaction manager and
-//!   write-ahead log;
+//!   (optionally) the durable redo log of the `ssi-wal` crate;
 //! * [`Transaction`] is the client handle with `get` / `get_for_update` /
 //!   `put` / `delete` / `scan` operations and `commit` / `rollback`, plus
 //!   `index_scan` / `index_lookup` over secondary indexes declared with
@@ -18,8 +18,9 @@
 //!   (protocol in the `access` module docs);
 //! * [`Options`] selects the isolation level and the experimental knobs the
 //!   paper studies: row- vs page-granularity locking, basic vs enhanced
-//!   conflict tracking, SIREAD-lock upgrades, victim selection, simulated
-//!   commit flushes and the SI-queries/SSI-updates mixed mode.
+//!   conflict tracking, SIREAD-lock upgrades, victim selection, durability
+//!   (including the group-commit log the flush-at-commit figures run on)
+//!   and the SI-queries/SSI-updates mixed mode.
 //!
 //! Three isolation levels matter for the paper's evaluation (a fourth,
 //! read-committed, exists for completeness):
@@ -105,6 +106,6 @@ pub use ssi_obs::{
 };
 pub use ssi_storage::{FieldKind, IndexKeyPart, IndexKeySpec, PurgeStats};
 pub use ssi_wal::{
-    CheckpointStats, FaultMode, FaultOp, FaultRule, FaultVfs, FlushEvent, FlushReason, Recovered,
-    StdVfs, Vfs, WalStats,
+    CheckpointStats, FaultMode, FaultOp, FaultRule, FaultVfs, FlushEvent, FlushReason, MemVfs,
+    Recovered, StdVfs, Vfs, WalStats,
 };

@@ -4,8 +4,9 @@
 //! conflict-detection granularity (row-level like InnoDB vs page-level like
 //! Berkeley DB), the basic vs enhanced conflict representation of Secs. 3.2
 //! and 3.6, the SIREAD-upgrade optimization of Sec. 3.7.3, victim selection
-//! (Sec. 3.7.2), commit-time log flushing (Sec. 6.1), and the mixed mode that
-//! runs read-only transactions at plain SI (Sec. 3.8).
+//! (Sec. 3.7.2), durability with group commit (the log flush at commit of
+//! Sec. 6.1), and the mixed mode that runs read-only transactions at plain
+//! SI (Sec. 3.8).
 
 use std::num::NonZeroU64;
 use std::path::PathBuf;
@@ -13,7 +14,6 @@ use std::time::Duration;
 
 use ssi_common::IsolationLevel;
 use ssi_lock::LockConfig;
-use ssi_storage::WalConfig;
 
 /// Granularity at which locks are taken and read-write conflicts detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,11 +217,8 @@ pub struct Options {
     pub default_isolation: IsolationLevel,
     /// Locking / conflict-detection granularity.
     pub granularity: LockGranularity,
-    /// Write-ahead-log behaviour (simulated flush latency, group commit).
-    pub wal: WalConfig,
-    /// Real durability: on-disk redo log, checkpoints and crash recovery.
-    /// Independent of `wal`, which only *simulates* flush latency for the
-    /// paper's figures.
+    /// Durability: redo log (with group commit), checkpoints and crash
+    /// recovery.
     pub durability: DurabilityOptions,
     /// Serializable-SI-specific options.
     pub ssi: SsiOptions,
@@ -265,7 +262,6 @@ impl Default for Options {
         Options {
             default_isolation: IsolationLevel::SerializableSnapshotIsolation,
             granularity: LockGranularity::Row,
-            wal: WalConfig::default(),
             durability: DurabilityOptions::default(),
             ssi: SsiOptions::default(),
             detect_phantoms: true,
@@ -299,14 +295,6 @@ impl Options {
             detect_phantoms: false,
             ..Options::default()
         }
-    }
-
-    /// Enables a simulated commit flush of the given latency.
-    pub fn with_commit_flush(mut self, latency: Duration) -> Self {
-        self.wal = WalConfig {
-            flush_latency: Some(latency),
-        };
-        self
     }
 
     /// Sets the default isolation level.
@@ -439,10 +427,8 @@ mod tests {
     #[test]
     fn builder_helpers() {
         let o = Options::default()
-            .with_commit_flush(Duration::from_millis(5))
             .with_isolation(IsolationLevel::SnapshotIsolation)
             .with_history();
-        assert_eq!(o.wal.flush_latency, Some(Duration::from_millis(5)));
         assert_eq!(o.default_isolation, IsolationLevel::SnapshotIsolation);
         assert!(o.record_history);
     }

@@ -152,10 +152,11 @@ impl Transaction {
     /// check of Fig. 3.2 runs; on failure the transaction is rolled back and
     /// an [`Error::Aborted`] of kind `Unsafe` is returned. After a
     /// successful check, all versions written become visible atomically, the
-    /// commit record is appended to the WAL (waiting for the simulated flush
-    /// if one is configured), locks are released — except SIREAD locks,
-    /// which stay registered while the transaction is suspended (Sec. 3.3) —
-    /// and eligible suspended transactions are cleaned up (Sec. 4.6.1).
+    /// commit record is appended to the durable log (waiting for a group
+    /// fsync in [`crate::Durability::GroupCommit`]), locks are released —
+    /// except SIREAD locks, which stay registered while the transaction is
+    /// suspended (Sec. 3.3) — and eligible suspended transactions are
+    /// cleaned up (Sec. 4.6.1).
     ///
     /// The commit pipeline (see [`crate::manager`]) is wait-free on the
     /// read side: a writer enters the `Committing` window (running its
@@ -348,7 +349,7 @@ impl Transaction {
         db.metrics.commit_section.finish(section_t0);
         drop(_gate);
 
-        // --- durability (real log: seal + group-commit fsync) ---------------
+        // --- durability (seal + group-commit fsync) -------------------------
         // Sealing appends the ordered prefix, so first make sure the clock
         // covers `commit_ts` (deposit alone no longer guarantees it);
         // `wait_durable` then blocks (in GroupCommit mode) until an fsync —
@@ -375,18 +376,6 @@ impl Transaction {
                     durability_error = Some(Error::Durability(format!("commit {commit_ts}: {e}")));
                 }
             }
-        }
-
-        // --- simulated flush latency (paper figure reproduction) ------------
-        if !self.writes.is_empty() {
-            let bytes: usize = self
-                .writes
-                .iter()
-                .map(|w| w.key.len() + w.version.value().map_or(0, |v| v.len()))
-                .sum();
-            self.db
-                .wal
-                .commit_record(self.shared.id(), commit_ts, bytes);
         }
 
         // --- history recording (verifier) -----------------------------------

@@ -5,8 +5,12 @@
 //! `Instant::now()` pair per operation. [`SampledHist`] therefore samples:
 //! a per-thread tick counter decides — *before* any clock is read — whether
 //! this occurrence is measured, keeping the unsampled path to one
-//! thread-local increment and a mask test. Sampled durations land in one of
-//! a small number of sharded [`LatencyHistogram`]s (shard picked by a
+//! thread-local increment and a mask test. Each histogram owns its own
+//! tick (a slot in a small per-thread array): with one tick shared by every
+//! histogram, a fixed per-transaction call pattern — say two reads, a
+//! commit and a commit section, four ticks — would land every sample on
+//! the same call site and starve the others. Sampled durations land in one
+//! of a small number of sharded [`LatencyHistogram`]s (shard picked by a
 //! per-thread index, so concurrent recorders almost never contend on a
 //! shard lock), merged on demand by [`SampledHist::snapshot`].
 //!
@@ -23,26 +27,35 @@ use parking_lot::Mutex;
 
 use crate::hist::LatencyHistogram;
 
+/// Number of per-thread sampling ticks. Histograms take slots round-robin
+/// at construction; an engine carries four sampled histograms, so a slot is
+/// shared only by histograms of databases opened 16 apart, and sharing
+/// matters only to a thread that drives both.
+const TICK_SLOTS: usize = 64;
+
 /// Number of histogram shards. Threads hash onto shards round-robin; with
 /// typical worker counts near the core count, contention on a shard mutex
 /// is negligible (and the critical section is an O(1) bucket increment).
 const SHARDS: usize = 8;
 
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Round-robin shard assignment, fixed per thread.
     static THREAD_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    /// The global sampling tick, shared by every `SampledHist` on this
-    /// thread. Sharing one counter keeps the unsampled path to a single
-    /// cell bump regardless of how many histograms the engine carries.
-    static TICK: Cell<u64> = const { Cell::new(0) };
+    /// This thread's sampling ticks, one per histogram slot, so each
+    /// histogram's gate counts only its own calls. The unsampled path is
+    /// still a single cell bump.
+    static TICKS: [Cell<u64>; TICK_SLOTS] = const { [const { Cell::new(0) }; TICK_SLOTS] };
 }
 
 /// A latency histogram behind a power-of-two sampling gate.
 pub struct SampledHist {
     /// `tick & mask == 0` selects a sample; 0 means "record everything".
     mask: u64,
+    /// Index of this histogram's tick in the per-thread `TICKS` array.
+    slot: usize,
     shards: [Mutex<LatencyHistogram>; SHARDS],
 }
 
@@ -52,6 +65,7 @@ impl SampledHist {
     pub fn new(shift: u32) -> Self {
         SampledHist {
             mask: (1u64 << shift.min(63)) - 1,
+            slot: NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % TICK_SLOTS,
             shards: std::array::from_fn(|_| Mutex::new(LatencyHistogram::default())),
         }
     }
@@ -59,13 +73,14 @@ impl SampledHist {
     /// Opens a sampled measurement: returns a start instant only for the
     /// occurrences the sampling gate selects. The decision is made before
     /// the clock is read, so unsampled occurrences cost one thread-local
-    /// increment and a mask test.
+    /// increment (of this histogram's own tick) and a mask test.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
         if self.mask == 0 {
             return Some(Instant::now());
         }
-        let sampled = TICK.with(|t| {
+        let sampled = TICKS.with(|ticks| {
+            let t = &ticks[self.slot];
             let v = t.get().wrapping_add(1);
             t.set(v);
             v & self.mask == 0
@@ -174,10 +189,30 @@ mod tests {
                 h.finish(Some(t));
             }
         }
-        // The tick is thread-local and shared, so this thread's phase is
-        // arbitrary — but the rate over 800 ticks is exactly 100.
+        // The tick is per thread and per histogram, so the rate over 800
+        // calls on this thread is exactly 100.
         assert_eq!(sampled, 100);
         assert_eq!(h.snapshot().count(), 100);
+    }
+
+    #[test]
+    fn interleaved_histograms_each_get_their_share_of_samples() {
+        // The served path's call pattern per transaction: two reads, then
+        // the whole commit, then the commit section — four gate calls on
+        // one thread. Each histogram must still see 1 in 64 of its own
+        // calls, not all samples landing on whichever call site the
+        // pattern's period lines up with.
+        let metrics = EngineMetrics::default();
+        let (read, commit, section) = (&metrics.read, &metrics.commit, &metrics.commit_section);
+        const N: u64 = 50;
+        for _ in 0..64 * N {
+            for h in [read, read, commit, section] {
+                h.finish(h.start());
+            }
+        }
+        assert_eq!(read.snapshot().count(), 2 * N);
+        assert_eq!(commit.snapshot().count(), N);
+        assert_eq!(section.snapshot().count(), N);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! pages. The statistical behaviour that matters for the evaluation — the
 //! probability that two independently chosen rows collide on a lock — is the
 //! same as for a real B-tree page assignment with the same page count, while
-//! the implementation stays independent of physical storage layout. This is
-//! the substitution documented in DESIGN.md.
+//! the implementation stays independent of physical storage layout. The
+//! engine applies the mapping when `ssi_core::Options` selects page
+//! granularity (`LockGranularity::Page`).
 
 /// Maps keys to page numbers.
 #[derive(Clone, Debug)]

@@ -22,7 +22,8 @@
 //! All file I/O goes through the pluggable [`Vfs`] trait ([`vfs`] module):
 //! production uses [`StdVfs`] (a `std::fs` passthrough behind one pointer
 //! hop), tests use [`FaultVfs`] to execute deterministic scripted fault
-//! schedules against the exact same code paths.
+//! schedules against the exact same code paths, and benchmarks use
+//! [`MemVfs`] to run the log without a disk.
 //!
 //! # Record format
 //!
@@ -156,7 +157,7 @@ pub use flusher::{FlushEvent, FlushReason, FlusherConfig};
 pub use log::{PoisonCause, PreparedCommit, SyncPolicy, WalStats, WalWriter};
 pub use record::{crc32, CommitRecord, Record, WriteEntry};
 pub use recover::{recover_into, recover_into_with, Recovered};
-pub use vfs::{FaultMode, FaultOp, FaultRule, FaultVfs, StdVfs, Vfs, VfsFile};
+pub use vfs::{FaultMode, FaultOp, FaultRule, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
 
 use std::path::{Path, PathBuf};
 

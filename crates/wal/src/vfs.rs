@@ -6,12 +6,16 @@
 //! other overhead). Tests use [`FaultVfs`], which wraps any inner `Vfs`
 //! and executes a deterministic, scripted schedule of injected failures:
 //! fail the Nth fsync once or persistently, short-write at byte `k`,
-//! ENOSPC after a byte budget, fail a rename, delay an op.
+//! ENOSPC after a byte budget, fail a rename, delay an op. [`MemVfs`]
+//! keeps every file in memory, so benchmarks run the log without
+//! touching a disk (wrap it in a `FaultVfs` delay rule to give each fsync
+//! a fixed device latency).
 //!
 //! Injection is deterministic by construction: rules fire based on
 //! per-operation counters, not wall clock or randomness, so a failing
 //! schedule replays exactly from its seed.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -158,6 +162,111 @@ impl Vfs for StdVfs {
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)
+    }
+}
+
+/// In-memory [`Vfs`]: every file is a byte vector owned by this value, so
+/// writes and `sync_all` touch no disk. Directories are implicit — a file
+/// path's parent is its directory — and directory entries (create, rename,
+/// remove) take effect at once. Reopening a database on the same `MemVfs`
+/// recovers from exactly the bytes written so far.
+#[derive(Default)]
+pub struct MemVfs {
+    files: Mutex<BTreeMap<PathBuf, Arc<MemFile>>>,
+}
+
+#[derive(Default)]
+struct MemFile(Mutex<Vec<u8>>);
+
+impl VfsFile for MemFile {
+    fn write_all(&self, buf: &[u8]) -> io::Result<()> {
+        self.0.lock().extend_from_slice(buf);
+        Ok(())
+    }
+
+    fn sync_all(&self) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.0.lock().resize(len as usize, 0);
+        Ok(())
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(self.0.lock().len() as u64)
+    }
+}
+
+impl MemVfs {
+    fn file(&self, path: &Path) -> io::Result<Arc<MemFile>> {
+        self.files
+            .lock()
+            .get(path)
+            .cloned()
+            .ok_or_else(|| not_found(path))
+    }
+}
+
+fn not_found(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
+}
+
+impl Vfs for MemVfs {
+    fn create_append(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        Ok(self
+            .files
+            .lock()
+            .entry(path.to_path_buf())
+            .or_default()
+            .clone())
+    }
+
+    fn create_truncate(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        let file = self.create_append(path)?;
+        file.set_len(0)?;
+        Ok(file)
+    }
+
+    fn open_write(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        Ok(self.file(path)?)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        Ok(self.file(path)?.0.lock().clone())
+    }
+
+    fn read_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+        Ok(self
+            .files
+            .lock()
+            .keys()
+            .filter(|path| path.parent() == Some(dir))
+            .filter_map(|path| Some(path.file_name()?.to_str()?.to_string()))
+            .collect())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut files = self.files.lock();
+        let file = files.remove(from).ok_or_else(|| not_found(from))?;
+        files.insert(to.to_path_buf(), file);
+        Ok(())
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.files
+            .lock()
+            .remove(path)
+            .map(drop)
+            .ok_or_else(|| not_found(path))
+    }
+
+    fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -633,6 +742,36 @@ mod tests {
         vfs.remove_file(&dir.join("b.bin")).unwrap();
         assert!(vfs.read_dir(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mem_vfs_files_and_directory_entries() {
+        let vfs = MemVfs::default();
+        let dir = Path::new("db");
+        vfs.create_dir_all(dir).unwrap();
+        assert!(vfs.read_dir(dir).unwrap().is_empty(), "fresh dir is empty");
+        let (tmp, ckpt) = (dir.join("x.tmp"), dir.join("x.ckpt"));
+        let file = vfs.create_append(&tmp).unwrap();
+        file.write_all(b"hello ").unwrap();
+        file.sync_all().unwrap();
+        // Reopening in append mode continues the same file.
+        vfs.create_append(&tmp)
+            .unwrap()
+            .write_all(b"world")
+            .unwrap();
+        assert_eq!(file.len().unwrap(), 11);
+        assert_eq!(vfs.read(&tmp).unwrap(), b"hello world");
+        vfs.open_write(&tmp).unwrap().set_len(5).unwrap();
+        vfs.create_append(Path::new("elsewhere/y")).unwrap();
+        vfs.rename(&tmp, &ckpt).unwrap();
+        assert_eq!(vfs.read_dir(dir).unwrap(), vec!["x.ckpt".to_string()]);
+        assert_eq!(vfs.read(&ckpt).unwrap(), b"hello");
+        assert_eq!(vfs.read(&tmp).unwrap_err().kind(), io::ErrorKind::NotFound);
+        vfs.create_truncate(&ckpt).unwrap();
+        assert_eq!(vfs.read(&ckpt).unwrap(), b"");
+        vfs.remove_file(&ckpt).unwrap();
+        assert!(vfs.read_dir(dir).unwrap().is_empty());
+        assert!(vfs.remove_file(&ckpt).is_err() && vfs.open_write(&ckpt).is_err());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   benchmark driver;
 //! * [`common`](ssi_common) — shared types, errors, encoding and statistics.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the mapping from the paper's figures to the
+//! See the [`core`](ssi_core) crate docs for a tour of the engine, the
+//! [`wal`](ssi_wal) crate docs for the durability subsystem, and the
+//! `ssi-bench` crate docs for the mapping from the paper's figures to the
 //! benchmark harness.
 
 pub use ssi_common as common;
